@@ -3,11 +3,13 @@
 //! The paper's futures machinery (WO/SO top-levels, §3.4 polygraph
 //! acceptance) is defined over an *abstract* STM: a store of versioned
 //! boxes with snapshot reads and validate-and-publish commits. This crate
-//! extracts that surface from the multi-versioned `wtf-mvstm` into the
-//! [`StmBackend`] trait so `wtf-core`, the harness, and the correctness
-//! tooling can run over any conforming backend — today `mvstm`
-//! (multi-versioned, JVSTM-style) and `tl2` (single-version,
-//! lock-striped, lazy-versioning; see `crates/tl2`).
+//! states that surface as the [`StmBackend`] trait so `wtf-core`, the
+//! harness, and the correctness tooling can run over any conforming
+//! backend — today `mvstm` (multi-versioned, JVSTM-style; its `Stm` and
+//! box body implement the traits in this crate) and `tl2` (single-version,
+//! lock-striped, lazy-versioning; see `crates/tl2`). Transactions over
+//! either run through one retry loop ([`atomic`]), one stepwise
+//! transaction ([`BackendTxn`]) and one typed handle ([`TBox`]).
 //!
 //! The contract every backend must honour, because the offline checker
 //! (`wtf-check`) re-derives commit/abort decisions from traces alone:
@@ -220,14 +222,10 @@ pub trait StmBackend: Send + Sync {
     /// commit call to count them in.
     fn note_read_only_commit(&self);
 
-    /// Ablation knob: disable background reclamation, where the backend
-    /// has any (no-op on single-version backends).
-    fn set_gc_enabled(&self, enabled: bool);
-
     /// The contention manager this backend's retry loops consult — one
     /// shared policy instance per backend, so the generic [`atomic`]
-    /// loop, any native loop (mvstm's `Stm::atomic`) and `wtf-core`'s
-    /// top-level loop see the same karma ledger / hotspot gates.
+    /// loop and `wtf-core`'s top-level loop see the same karma ledger /
+    /// hotspot gates.
     fn cm(&self) -> Arc<dyn ContentionManager>;
 
     /// Installs a contention manager (the `FutureTm::builder().cm(..)`
@@ -258,38 +256,22 @@ pub trait StmBackend: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// The mvstm adapter.
+// mvstm: the multi-versioned substrate implements the traits directly.
 // ---------------------------------------------------------------------------
 
-/// [`BackendBox`] over an mvstm versioned box.
-pub struct MvBox {
-    body: Arc<BoxBody>,
-}
-
-impl MvBox {
-    pub fn new(body: Arc<BoxBody>) -> MvBox {
-        MvBox { body }
-    }
-
-    /// The underlying mvstm body (the adapter's commit path needs it).
-    pub fn body(&self) -> &Arc<BoxBody> {
-        &self.body
-    }
-}
-
-impl BackendBox for MvBox {
+impl BackendBox for BoxBody {
     fn id(&self) -> BoxId {
-        raw::id_of(&self.body)
+        raw::id_of(self)
     }
 
     fn read_at(&self, snapshot: u64) -> Result<(u64, Value), StmError> {
         // Multi-versioning: the snapshot's version is always retained
         // while the snapshot is live, so reads cannot fail.
-        Ok(raw::read_at(&self.body, snapshot))
+        Ok(raw::read_at(self, snapshot))
     }
 
     fn read_latest(&self) -> Value {
-        raw::read_at(&self.body, u64::MAX).1
+        raw::read_at(self, u64::MAX).1
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -297,78 +279,51 @@ impl BackendBox for MvBox {
     }
 }
 
-/// [`StmBackend`] over the multi-versioned `wtf-mvstm` substrate.
-pub struct MvstmBackend {
-    stm: Stm,
-}
-
-impl MvstmBackend {
-    pub fn new(stm: Stm) -> MvstmBackend {
-        MvstmBackend { stm }
-    }
-
-    pub fn with_tracer(tracer: Arc<Tracer>) -> MvstmBackend {
-        MvstmBackend::new(Stm::with_tracer(tracer))
-    }
-
-    /// The wrapped STM (explorers and tests that exercise the native
-    /// mvstm API go through this).
-    pub fn stm(&self) -> &Stm {
-        &self.stm
-    }
-}
-
-fn mv_body(b: &Arc<dyn BackendBox>) -> Arc<BoxBody> {
+fn mvstm_box(b: &Arc<dyn BackendBox>) -> &BoxBody {
     b.as_any()
-        .downcast_ref::<MvBox>()
-        .expect("box from a different backend passed to MvstmBackend")
-        .body()
-        .clone()
+        .downcast_ref::<BoxBody>()
+        .expect("box from a different backend passed to mvstm's Stm")
 }
 
-impl StmBackend for MvstmBackend {
+impl StmBackend for Stm {
     fn kind(&self) -> BackendKind {
         BackendKind::Mvstm
     }
 
     fn tracer(&self) -> &Arc<Tracer> {
-        self.stm.tracer()
+        Stm::tracer(self)
     }
 
     fn clock(&self) -> u64 {
-        self.stm.clock()
+        Stm::clock(self)
     }
 
     fn stats(&self) -> StmStatsSnapshot {
-        self.stm.stats()
+        Stm::stats(self)
     }
 
     fn note_abort(&self) {
-        raw::note_abort(&self.stm);
+        raw::note_abort(self);
     }
 
     fn note_read_only_commit(&self) {
-        raw::note_read_only_commit(&self.stm);
-    }
-
-    fn set_gc_enabled(&self, enabled: bool) {
-        self.stm.set_gc_enabled(enabled);
+        raw::note_read_only_commit(self);
     }
 
     fn cm(&self) -> Arc<dyn ContentionManager> {
-        self.stm.cm()
+        Stm::cm(self)
     }
 
     fn set_cm(&self, cm: Arc<dyn ContentionManager>) {
-        self.stm.set_cm(cm);
+        Stm::set_cm(self, cm);
     }
 
     fn new_box(&self, value: Value) -> Arc<dyn BackendBox> {
-        Arc::new(MvBox::new(raw::new_box_body(&self.stm, value)))
+        raw::new_box_body(self, value)
     }
 
     fn acquire_snapshot(&self) -> BackendSnapshot {
-        let snap = raw::acquire_snapshot(&self.stm);
+        let snap = raw::acquire_snapshot(self);
         BackendSnapshot::new(snap.version(), Some(Box::new(snap)))
     }
 
@@ -378,10 +333,12 @@ impl StmBackend for MvstmBackend {
         reads: &[Arc<dyn BackendBox>],
         writes: Vec<(Arc<dyn BackendBox>, Value)>,
     ) -> Result<u64, BoxId> {
-        let read_bodies: Vec<Arc<BoxBody>> = reads.iter().map(mv_body).collect();
-        let writes: Vec<(Arc<BoxBody>, Value)> =
-            writes.into_iter().map(|(b, v)| (mv_body(&b), v)).collect();
-        raw::commit_attributed(&self.stm, snapshot, read_bodies.iter(), writes)
+        raw::commit_attributed(
+            self,
+            snapshot,
+            reads.iter().map(mvstm_box),
+            writes.iter().map(|(b, v)| (mvstm_box(b), v)),
+        )
     }
 }
 
@@ -389,9 +346,8 @@ impl StmBackend for MvstmBackend {
 // The typed box facade.
 // ---------------------------------------------------------------------------
 
-/// The typed, clonable handle over a backend box — the backend-agnostic
-/// analogue of `wtf_mvstm::VBox` (and re-exported as `VBox` by
-/// `wtf-core`).
+/// The typed, clonable handle over a backend box — the one box handle
+/// of the stack (re-exported as `VBox` by `wtf-core`).
 pub struct TBox<T> {
     body: Arc<dyn BackendBox>,
     _marker: PhantomData<fn() -> T>,
@@ -413,7 +369,7 @@ impl<T: TxValue> TBox<T> {
     }
 
     /// Wraps an untyped body. The caller asserts the stored type is `T`
-    /// (reads panic on mismatch, exactly like `VBox`).
+    /// (reads panic on mismatch).
     pub fn from_body(body: Arc<dyn BackendBox>) -> TBox<T> {
         TBox {
             body,
@@ -444,23 +400,24 @@ impl<T> std::fmt::Debug for TBox<T> {
 }
 
 // ---------------------------------------------------------------------------
-// The stepwise transaction (explorers, differential tests, plain atomics).
+// The stepwise transaction (explorer, differential tests, plain atomics).
 // ---------------------------------------------------------------------------
 
-/// An in-flight backend transaction, mirroring `wtf_mvstm::Txn` but
-/// generic over the substrate. Driven stepwise by `wtf-check`'s schedule
-/// explorers and wrapped by [`atomic`] for retry-until-commit use.
+/// An in-flight backend transaction, generic over the substrate. Driven
+/// stepwise by `wtf-check`'s schedule explorer and wrapped by [`atomic`]
+/// for retry-until-commit use.
 ///
-/// Unlike the mvstm-native `Txn`, [`BackendTxn::read`] is fallible: on a
-/// single-version backend a read of a box overwritten since the snapshot
-/// returns `Err(Conflict)`, which callers must treat as an abort of the
-/// whole transaction (its snapshot is no longer readable).
+/// [`BackendTxn::read`] is fallible: on a single-version backend a read
+/// of a box overwritten since the snapshot returns `Err(Conflict)`, which
+/// callers must treat as an abort of the whole transaction (its snapshot
+/// is no longer readable). On mvstm reads never fail.
 pub struct BackendTxn<'s> {
     backend: &'s dyn StmBackend,
     snapshot: BackendSnapshot,
-    /// Box plus the version the first read observed — captured at read
-    /// time because that is what the commit-time serialization record
-    /// re-emits (see `wtf_mvstm::Txn` for the GC argument).
+    /// Box plus the version the first read observed — the observed
+    /// version is what the commit-time serialization record re-emits, and
+    /// it must be captured at read time: after our own commit, mvstm's GC
+    /// may have pruned the version we actually read.
     read_set: FxHashMap<BoxId, (Arc<dyn BackendBox>, u64)>,
     write_set: FxHashMap<BoxId, (Arc<dyn BackendBox>, Value)>,
     /// The box a failed read was charged to (single-version backends),
@@ -579,7 +536,7 @@ impl<'s> BackendTxn<'s> {
 }
 
 /// Runs `f` as a transaction on `backend`, retrying on conflicts until it
-/// commits — the backend-generic analogue of `Stm::atomic`. Every
+/// commits — the one retry loop below `wtf-core`. Every
 /// conflict abort is attributed (the failed read's box on single-version
 /// backends, the failed validation's box at commit) and reported to the
 /// backend's [contention manager](StmBackend::cm), whose wait is applied
@@ -633,8 +590,8 @@ mod tests {
     }
 
     #[test]
-    fn mvstm_adapter_round_trips() {
-        let backend = MvstmBackend::with_tracer(Tracer::disabled());
+    fn mvstm_backend_round_trips() {
+        let backend = Stm::new();
         let b: TBox<i64> = TBox::new_on(&backend, 5);
         assert_eq!(b.read_latest(), 5);
         let b2 = b.clone();
@@ -653,7 +610,7 @@ mod tests {
 
     #[test]
     fn read_only_commit_counts() {
-        let backend = MvstmBackend::with_tracer(Tracer::disabled());
+        let backend = Stm::new();
         let b: TBox<u64> = TBox::new_on(&backend, 3);
         let b2 = b.clone();
         let v = atomic(&backend, move |tx| tx.read(&b2)).unwrap();

@@ -10,9 +10,10 @@
 //! static analysis:
 //!
 //! * **`raw-api`** — using `wtf_mvstm::raw` (snapshots, versioned reads,
-//!   raw commits) outside the runtime crates. The raw layer skips the
+//!   raw commits) outside the runtime crates: any `raw::` path, so every
+//!   public function of the module is covered. The raw layer skips the
 //!   retry loop and the serialization records; application code must go
-//!   through `Stm::atomic` / `FutureTm::atomic`.
+//!   through `wtf_backend::atomic` / `FutureTm::atomic`.
 //! * **`snapshot-retained`** — storing a `Snapshot` in a struct field or
 //!   static. A live snapshot pins the GC horizon: version chains grow
 //!   without bound while it exists (the paper's runtime only holds
@@ -110,23 +111,27 @@ pub fn lint_source_with(file: &str, src: &str, ctx: FileCtx) -> Vec<Finding> {
 
     if !ctx.runtime_crate {
         // raw-api: the low-level layer bypasses retry + serialization
-        // records; only the runtime crates may touch it.
-        const RAW_NEEDLES: [&str; 5] = [
-            "wtf_mvstm::raw::",
-            "raw::acquire_snapshot",
-            "raw::commit_raw",
-            "raw::commit_attributed",
-            "raw::read_at",
-        ];
-        for needle in RAW_NEEDLES {
-            for off in find_all(&masked, needle) {
-                push(
-                    off,
-                    "raw-api",
-                    format!("`{needle}` used outside the runtime crates; use `atomic` instead"),
-                    true,
-                );
+        // records; only the runtime crates may touch it. Any path through
+        // a `raw` segment counts (`wtf_mvstm::raw::..`, or `raw::..` after
+        // importing the module), so no public function of it slips by.
+        for off in find_all(&masked, "raw::") {
+            let segment_start = !masked[..off].ends_with(|c: char| c.is_alphanumeric() || c == '_');
+            if !segment_start {
+                continue;
             }
+            let mut item: String = masked[off + "raw::".len()..]
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            if item.is_empty() {
+                item = "{..}".to_string(); // a grouped import
+            }
+            push(
+                off,
+                "raw-api",
+                format!("`raw::{item}` used outside the runtime crates; use `atomic` instead"),
+                true,
+            );
         }
         // snapshot-retained: `: Snapshot` in type position pins the GC
         // horizon for as long as the holder lives.
@@ -179,7 +184,8 @@ pub fn lint_source_with(file: &str, src: &str, ctx: FileCtx) -> Vec<Finding> {
                     "unchecked-atomic",
                     format!(
                         "`{name}(..)` result unwrapped in non-test code; handle the \
-                         abort/conflict case explicitly (or use `atomic_infallible`)"
+                         abort/conflict case explicitly (or use \
+                         `FutureTm::atomic_infallible`)"
                     ),
                     true,
                 );
@@ -542,11 +548,11 @@ mod tests {
 
     #[test]
     fn masking_spares_offsets() {
-        let src = "let a = \"raw::read_at\"; // raw::commit_raw\nlet b = 1;\n";
+        let src = "let a = \"raw::read_at\"; // raw::commit_attributed\nlet b = 1;\n";
         let masked = mask_comments_and_strings(src);
         assert_eq!(masked.len(), src.len());
         assert!(!masked.contains("read_at"));
-        assert!(!masked.contains("commit_raw"));
+        assert!(!masked.contains("commit_attributed"));
         assert!(masked.contains("let b = 1;"));
     }
 
@@ -565,6 +571,15 @@ mod tests {
             },
         );
         assert!(runtime.is_empty());
+        // Every function of the module, reached bare or fully qualified.
+        for src in [
+            "let b = raw::new_box_body(stm, v);\n",
+            "let n = wtf_mvstm::raw::version_chain_len(&b);\n",
+        ] {
+            let findings = lint_source("app.rs", src);
+            assert_eq!(findings.len(), 1, "{src}: {findings:?}");
+            assert_eq!(findings[0].rule, "raw-api");
+        }
     }
 
     #[test]
@@ -591,17 +606,17 @@ mod tests {
 
     #[test]
     fn unchecked_atomic_flagged_outside_tests() {
-        let src = "fn f(stm: &Stm) { stm.atomic(|tx| tx.read(&b)).unwrap(); }\n";
+        let src = "fn f(stm: &Stm) { atomic(stm, |tx| tx.read(&b)).unwrap(); }\n";
         let findings = lint_source("app.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "unchecked-atomic");
-        let test_src = "#[cfg(test)]\nmod t {\n    fn f(stm: &Stm) { stm.atomic(|tx| tx.read(&b)).unwrap(); }\n}\n";
+        let test_src = "#[cfg(test)]\nmod t {\n    fn f(stm: &Stm) { atomic(stm, |tx| tx.read(&b)).unwrap(); }\n}\n";
         assert!(lint_source("app.rs", test_src).is_empty());
     }
 
     #[test]
     fn unchecked_atomic_defers_to_audit_in_runtime_crates() {
-        let src = "fn f(stm: &Stm) { stm.atomic(|tx| tx.read(&b)).unwrap(); }\n";
+        let src = "fn f(stm: &Stm) { atomic(stm, |tx| tx.read(&b)).unwrap(); }\n";
         let runtime = lint_source_with(
             "crates/mvstm/src/x.rs",
             src,
@@ -625,7 +640,7 @@ mod tests {
         std::fs::write(sub.join("bad.rs"), b"fn f() {} // caf\xe9\n").unwrap();
         std::fs::write(
             sub.join("good.rs"),
-            "fn f(stm: &Stm) { stm.atomic(|tx| tx.read(&b)).unwrap(); }\n",
+            "fn f(stm: &Stm) { atomic(stm, |tx| tx.read(&b)).unwrap(); }\n",
         )
         .unwrap();
         let findings = lint_tree(&dir).expect("non-UTF8 files lint lossily, not fatally");
@@ -641,7 +656,7 @@ mod tests {
     #[test]
     fn allow_directive_suppresses() {
         let src =
-            "// wtf-lint: allow(unchecked-atomic)\nfn f(stm: &Stm) { stm.atomic(|tx| tx.read(&b)).unwrap(); }\n";
+            "// wtf-lint: allow(unchecked-atomic)\nfn f(stm: &Stm) { atomic(stm, |tx| tx.read(&b)).unwrap(); }\n";
         assert!(lint_source("app.rs", src).is_empty());
     }
 

@@ -5,8 +5,8 @@
 //! signals at runtime: an aborted transaction retried *immediately* into
 //! the same hot box. This crate closes the loop with a
 //! [`ContentionManager`] trait consulted on every abort/retry decision,
-//! in the generic [`wtf-backend`] retry loop, in mvstm's native
-//! `Stm::atomic`, and in `wtf-core`'s top-level retry loop.
+//! in the generic [`wtf-backend`] retry loop and in `wtf-core`'s
+//! top-level retry loop.
 //!
 //! ## Design: pure state machines
 //!
@@ -147,10 +147,9 @@ pub fn attempt_now() -> u64 {
 }
 
 /// The one retry-site protocol shared by every loop that consults a CM
-/// (the generic `wtf-backend::atomic`, mvstm's native `Stm::atomic`, and
-/// `wtf-core`'s top-level loop): consult the policy, record the
-/// `CmBoxFlagged` / `CmWait` events, and apply the wait as a single
-/// `Clock::advance`. On a thread without a clock the policy is still
+/// (the generic `wtf-backend::atomic` and `wtf-core`'s top-level loop):
+/// consult the policy, record the `CmBoxFlagged` / `CmWait` events, and
+/// apply the wait as a single `Clock::advance`. On a thread without a clock the policy is still
 /// consulted (streaks and gates stay coherent) but the wait cannot be
 /// applied, so it is neither advanced nor recorded.
 pub fn pause_after_abort(

@@ -108,7 +108,7 @@ impl FutureCore {
 
 /// A handle to a transactional future returning `T`.
 ///
-/// Clonable and storable inside a [`VBox`](wtf_mvstm::VBox) — that is how
+/// Clonable and storable inside a [`VBox`](crate::VBox) — that is how
 /// futures *escape*: a transaction writes the handle to shared memory,
 /// commits, and a different top-level transaction reads and evaluates it
 /// (§3.3, Fig. 1c).

@@ -94,7 +94,7 @@ pub(crate) fn debug_enabled() -> bool {
 /// [`FutureTmBuilder::backend_kind`].
 pub fn make_backend(kind: BackendKind, tracer: Arc<Tracer>) -> Arc<dyn StmBackend> {
     match kind {
-        BackendKind::Mvstm => Arc::new(wtf_backend::MvstmBackend::with_tracer(tracer)),
+        BackendKind::Mvstm => Arc::new(Stm::with_tracer(tracer)),
         BackendKind::Tl2 => Arc::new(wtf_tl2::Tl2Stm::with_tracer(tracer)),
     }
 }
@@ -203,14 +203,8 @@ impl FutureTmBuilder {
         self
     }
 
-    /// Share an existing STM instance (e.g. with plain `Stm::atomic`
-    /// baseline transactions).
-    pub fn stm(mut self, stm: Stm) -> Self {
-        self.stm = Some(Arc::new(wtf_backend::MvstmBackend::new(stm)));
-        self
-    }
-
-    /// Share an existing backend instance directly.
+    /// Share an existing backend instance (e.g. with plain
+    /// `wtf_backend::atomic` transactions over the same `Stm`).
     pub fn backend(mut self, backend: Arc<dyn StmBackend>) -> Self {
         self.stm = Some(backend);
         self
@@ -219,20 +213,18 @@ impl FutureTmBuilder {
     /// Which STM substrate to instantiate ([`BackendKind::Mvstm`] — the
     /// JVSTM analogue — or [`BackendKind::Tl2`]). Defaults to the
     /// `WTF_BACKEND` environment variable, falling back to mvstm. Ignored
-    /// when an instance was supplied via [`FutureTmBuilder::stm`] /
-    /// [`FutureTmBuilder::backend`].
+    /// when an instance was supplied via [`FutureTmBuilder::backend`].
     pub fn backend_kind(mut self, kind: BackendKind) -> Self {
         self.backend_kind = Some(kind);
         self
     }
 
     /// Which contention-management policy every retry loop consults (see
-    /// `wtf-cm`): the generic backend loop, mvstm's native `Stm::atomic`
-    /// over a shared instance, and [`FutureTm::atomic`]'s top-level loop.
-    /// Defaults to the `WTF_CM` environment variable / an active
-    /// [`with_cm`] scope, falling back to `immediate`. Installed on the
-    /// backend instance even when one was supplied via
-    /// [`FutureTmBuilder::stm`] / [`FutureTmBuilder::backend`].
+    /// `wtf-cm`): the generic backend loop and [`FutureTm::atomic`]'s
+    /// top-level loop. Defaults to the `WTF_CM` environment variable / an
+    /// active [`with_cm`] scope, falling back to `immediate`. Installed on
+    /// the backend instance even when one was supplied via
+    /// [`FutureTmBuilder::backend`].
     pub fn cm(mut self, kind: CmKind) -> Self {
         self.cm = Some(kind);
         self
@@ -248,8 +240,8 @@ impl FutureTmBuilder {
 
     /// Report lifecycle events, latency histograms and abort attribution
     /// into `tracer` (see `wtf-trace`). The tracer is shared with the
-    /// STM (unless one was supplied via [`FutureTmBuilder::stm`]) and the
-    /// worker pool, so one summary covers every layer.
+    /// STM (unless one was supplied via [`FutureTmBuilder::backend`]) and
+    /// the worker pool, so one summary covers every layer.
     pub fn tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
         self

@@ -149,8 +149,8 @@ mod tests {
     use super::*;
     use wtf_backend::{StmBackend, TBox};
 
-    fn backend() -> wtf_backend::MvstmBackend {
-        wtf_backend::MvstmBackend::new(wtf_mvstm::Stm::new())
+    fn backend() -> wtf_mvstm::Stm {
+        wtf_mvstm::Stm::new()
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! "Versioned boxes as the basis for memory transactions"), the substrate
 //! the paper builds WTF-TM on. The design mirrors JVSTM's essentials:
 //!
-//! * **Versioned boxes** ([`VBox<T>`]): every transactional location keeps
-//!   a chain of `(version, value)` pairs, newest first — an immutable
-//!   cons list behind an atomic head pointer, so snapshot reads are
-//!   lock-free and installing a committed value is O(1).
+//! * **Versioned boxes** ([`raw::BoxBody`]): every transactional
+//!   location keeps a chain of `(version, value)` pairs, newest first —
+//!   an immutable cons list behind an atomic head pointer, so snapshot
+//!   reads are lock-free and installing a committed value is O(1).
 //! * **Global version clock**: committing writers reserve a version with
 //!   one atomic fetch-add and publish their write-set at that version.
 //! * **Snapshot reads**: a transaction reads the newest version no newer
@@ -31,26 +31,28 @@
 //! versions) is documented in `DESIGN.md` § "Commit-path concurrency"
 //! and in the module docs of `stripe`, `vbox` and `registry`.
 //!
-//! The crate exposes two levels:
-//!
-//! * the user-level [`Stm::atomic`] / [`Txn`] API — this *is* the plain
-//!   "JVSTM" baseline of the paper's evaluation (top-level transactions,
-//!   no intra-transaction parallelism), and
-//! * the [`raw`] module — snapshots, versioned reads and raw multi-box
-//!   commits — used by `wtf-core` to layer transactional futures on top,
-//!   exactly as WTF-TM layers on JVSTM ("we abstract the mechanisms used
-//!   to regulate concurrency among top-level transactions").
+//! The crate exposes the [`Stm`] instance and the [`raw`] module —
+//! snapshots, versioned reads and the attributed multi-box commit.
+//! Transactions do not live here: `wtf-backend` implements its
+//! `StmBackend` trait for [`Stm`] (and `BackendBox` for
+//! [`raw::BoxBody`]) on top of [`raw`], so mvstm is a peer of the TL2
+//! backend behind one retry loop (`wtf_backend::atomic`), one stepwise
+//! transaction (`BackendTxn`) and one typed handle (`TBox`). `wtf-core`
+//! layers transactional futures on the same trait, exactly as WTF-TM
+//! layers on JVSTM ("we abstract the mechanisms used to regulate
+//! concurrency among top-level transactions").
 //!
 //! ## Example
 //!
 //! ```
-//! use wtf_mvstm::{Stm, VBox};
+//! use wtf_backend::{atomic, TBox};
+//! use wtf_mvstm::Stm;
 //!
 //! let stm = Stm::new();
-//! let acc_a = VBox::new(&stm, 100i64);
-//! let acc_b = VBox::new(&stm, 0i64);
+//! let acc_a = TBox::new_on(&stm, 100i64);
+//! let acc_b = TBox::new_on(&stm, 0i64);
 //!
-//! stm.atomic(|tx| {
+//! atomic(&stm, |tx| {
 //!     let a = tx.read(&acc_a)?;
 //!     tx.write(&acc_a, a - 30)?;
 //!     let b = tx.read(&acc_b)?;
@@ -59,24 +61,23 @@
 //! })
 //! .unwrap();
 //!
-//! assert_eq!(stm.atomic(|tx| tx.read(&acc_b)).unwrap(), 30);
+//! assert_eq!(atomic(&stm, |tx| tx.read(&acc_b)).unwrap(), 30);
 //! ```
 
+mod error;
 mod hash;
 mod registry;
 mod stats;
 mod stripe;
-mod txn;
 mod value;
 mod vbox;
 
 pub mod raw;
 
+pub use error::{Aborted, StmError, TxResult};
 pub use hash::{FxHashMap, FxHashSet};
 pub use stats::{StmStats, StmStatsSnapshot};
-pub use txn::{Aborted, StmError, TxResult, Txn};
 pub use value::{downcast_value, BoxId, TxValue, Value};
-pub use vbox::VBox;
 
 use registry::ActiveRegistry;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -87,7 +88,7 @@ use wtf_trace::Tracer;
 pub(crate) struct StmInner {
     /// Published version clock: committed state has versions `0..=clock`,
     /// and all of them are fully installed. Only ever advanced by 1, in
-    /// ticket order, by `raw::commit_raw`.
+    /// ticket order, by `raw::commit_attributed`.
     // ordering: seqcst-store publication joins the registry's single
     // total order with the slot stores and the horizon scan (see
     // `registry` module docs), whose republish loop also reads it
@@ -124,11 +125,10 @@ pub(crate) struct StmInner {
     /// tracer costs one relaxed load per hook — so the hot paths carry
     /// no `Option` branch.
     pub(crate) tracer: Arc<Tracer>,
-    /// Contention manager consulted by [`Stm::atomic`]'s retry loop (and,
-    /// through the `MvstmBackend` adapter, by `wtf_backend::atomic` and
-    /// the `wtf-core` top-level loop — one shared policy instance per
-    /// STM). Swappable so `FutureTm::builder().cm(..)` can install a
-    /// policy after construction.
+    /// Contention manager consulted by `wtf_backend::atomic` and the
+    /// `wtf-core` top-level loop — one shared policy instance per STM.
+    /// Swappable so `FutureTm::builder().cm(..)` can install a policy
+    /// after construction.
     // lock-order: cm-slot — read at the top of the retry loop, before
     // any stripe or registry lock is taken; writes happen only from
     // setup code holding nothing.
@@ -137,8 +137,8 @@ pub(crate) struct StmInner {
 
 /// A software transactional memory instance.
 ///
-/// Cheap to clone (all clones share state). All [`VBox`]es are tied to the
-/// `Stm` they were created in.
+/// Cheap to clone (all clones share state). Every box is tied to the
+/// `Stm` it was created in.
 #[derive(Clone)]
 pub struct Stm {
     pub(crate) inner: Arc<StmInner>,
@@ -251,8 +251,9 @@ impl Stm {
         &self.inner.tracer
     }
 
-    /// The contention manager [`Stm::atomic`] consults on every conflict
-    /// abort. Defaults from `WTF_CM` / `wtf_cm::with_cm` at construction.
+    /// The contention manager the retry loops over this STM consult on
+    /// every conflict abort. Defaults from `WTF_CM` / `wtf_cm::with_cm` at
+    /// construction.
     pub fn cm(&self) -> Arc<dyn wtf_cm::ContentionManager> {
         self.inner.cm.read().clone()
     }
@@ -278,61 +279,6 @@ impl Stm {
     /// Counters: commits, aborts, read-only commits, version prunings.
     pub fn stats(&self) -> StmStatsSnapshot {
         self.inner.stats.snapshot()
-    }
-
-    /// Runs `f` as an atomic transaction, retrying on conflict until it
-    /// commits. Returns `Err(Aborted)` only when `f` requests an explicit
-    /// abort via [`Txn::abort`]. Every conflict abort consults the
-    /// [contention manager](Stm::cm) — with the conflicting box's id when
-    /// commit validation names one — and applies its wait before the
-    /// retry.
-    pub fn atomic<T>(&self, mut f: impl FnMut(&mut Txn) -> TxResult<T>) -> Result<T, Aborted> {
-        let cm = self.cm();
-        let actor = cm.begin_txn();
-        wtf_cm::pause_at_begin(&*cm, &self.inner.tracer, actor);
-        let mut streak = 0u32;
-        loop {
-            let attempt_start = wtf_cm::attempt_now();
-            let mut tx = Txn::begin(self);
-            let conflict_box = match f(&mut tx) {
-                Ok(value) => match tx.commit_attributed() {
-                    Ok(()) => {
-                        cm.on_commit(actor);
-                        return Ok(value);
-                    }
-                    Err(box_id) => Some(box_id.0),
-                },
-                Err(StmError::Conflict) => None,
-                Err(StmError::UserAbort) => return Err(Aborted),
-            };
-            self.inner.stats.aborts.fetch_add(1, Ordering::Relaxed);
-            streak += 1;
-            wtf_cm::pause_after_abort(
-                &*cm,
-                &self.inner.tracer,
-                actor,
-                conflict_box,
-                streak,
-                attempt_start,
-            );
-        }
-    }
-
-    /// Like [`Stm::atomic`] but panics on explicit abort; convenient when
-    /// the body never aborts.
-    pub fn atomic_infallible<T>(&self, f: impl FnMut(&mut Txn) -> TxResult<T>) -> T {
-        // This IS the sanctioned panic-on-abort wrapper the lint points
-        // users at (the rule itself is off in runtime crates).
-        self.atomic(f).expect("transaction aborted explicitly")
-    }
-
-    /// Begins a stepwise transaction outside the [`Stm::atomic`] retry
-    /// loop. This is the schedule-explorer hook (`wtf-check` interleaves
-    /// the read/write/commit steps of several transactions): the caller
-    /// owns conflict handling, and a [`Txn::commit`] `Conflict` is final.
-    /// Application code should use [`Stm::atomic`].
-    pub fn begin_txn(&self) -> Txn<'_> {
-        Txn::begin(self)
     }
 }
 

@@ -1,6 +1,9 @@
-//! Low-level hooks used by `wtf-core` to layer transactional futures on
-//! top of the multi-versioned substrate, mirroring how WTF-TM layers on
-//! JVSTM. Regular applications should use [`Stm::atomic`] instead.
+//! The multi-versioned substrate's protocol: snapshots, versioned reads
+//! and the attributed multi-box commit. `wtf-backend` builds its
+//! `StmBackend` impl for [`Stm`] from these functions; applications run
+//! transactions through that trait (`wtf_backend::atomic`, or
+//! `wtf-core`'s `FutureTm::atomic`), never through this module, which
+//! skips the retry loop and the serialization records.
 //!
 //! This module owns the scalable commit protocol (see `DESIGN.md`
 //! § "Commit-path concurrency"):
@@ -23,9 +26,9 @@
 //! needs — so publication always makes progress, in ticket order.
 
 use crate::stripe::StripeTable;
-use crate::value::{BoxId, TxValue, Value};
+use crate::value::{BoxId, Value};
 pub use crate::vbox::BoxBody;
-use crate::{Stm, StmError, VBox};
+use crate::Stm;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -66,15 +69,13 @@ pub fn acquire_snapshot(stm: &Stm) -> Snapshot {
     }
 }
 
-/// The untyped body behind a typed box handle.
-pub fn body_of<T: TxValue>(vbox: &VBox<T>) -> Arc<BoxBody> {
-    vbox.body.clone()
-}
-
-/// Creates an untyped box body initialized to `value`, stamped at the
-/// current clock — [`VBox::new`] minus the typed facade. Backend adapters
-/// (`wtf-backend`) create boxes through this because their values arrive
-/// already erased.
+/// Creates an untyped box body initialized to `value`.
+///
+/// The initial version is stamped with the *current* clock value, so the
+/// box is visible to every transaction whose snapshot is at or after the
+/// creation point. (Creating boxes *inside* a transaction and publishing
+/// them through another box is supported: the handle value committed
+/// through the STM carries the `Arc`.)
 pub fn new_box_body(stm: &Stm, value: Value) -> Arc<BoxBody> {
     let id = BoxId(stm.inner.next_box.fetch_add(1, Ordering::Relaxed));
     let version = stm.inner.clock.load(Ordering::Acquire);
@@ -82,14 +83,15 @@ pub fn new_box_body(stm: &Stm, value: Value) -> Arc<BoxBody> {
 }
 
 /// Counts one transaction abort (conflict retry) against this STM's
-/// stats. Retry loops living outside this crate (`wtf-backend`'s generic
-/// `atomic`) report through here; [`Stm::atomic`] counts its own.
+/// stats. The retry loops live outside this crate (`wtf-backend`'s
+/// `atomic`, `wtf-core`'s top-level loop) and report through here.
 pub fn note_abort(stm: &Stm) {
     stm.inner.stats.aborts.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Counts one read-only commit (which never reaches [`commit_raw`] — the
-/// multi-version property lets it commit with no validation at all).
+/// Counts one read-only commit (which never reaches
+/// [`commit_attributed`] — the multi-version property lets it commit with
+/// no validation at all).
 pub fn note_read_only_commit(stm: &Stm) {
     stm.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
     stm.inner
@@ -111,9 +113,10 @@ pub fn read_at(body: &BoxBody, snapshot: u64) -> (u64, Value) {
     body.read_at(snapshot)
 }
 
-/// Newest committed version number of `body` (no snapshot filtering).
-pub fn head_version(body: &BoxBody) -> u64 {
-    body.head_version()
+/// Number of versions `body` retains (GC diagnostics). Takes the box's
+/// stripe, so it may race committers.
+pub fn version_chain_len(body: &BoxBody) -> usize {
+    body.chain_len()
 }
 
 /// Validates-and-publishes a write-set against `snapshot`.
@@ -122,7 +125,9 @@ pub fn head_version(body: &BoxBody) -> u64 {
 /// must have no version newer than `snapshot` (i.e. every value the
 /// transaction read is still current), after which all `writes` are
 /// installed atomically at a freshly reserved version. Returns the new
-/// commit version.
+/// commit version; a validation failure instead returns the id of the
+/// box whose version check failed — the input higher layers need for
+/// abort attribution (`wtf-trace` conflict hotspots).
 ///
 /// With all reads re-validated at the commit point, the transaction is
 /// logically instantaneous at commit time, which yields serializability
@@ -130,35 +135,32 @@ pub fn head_version(body: &BoxBody) -> u64 {
 /// (not just the write stripes) is what makes validation stable: no
 /// concurrent commit can install into a read box between our check and
 /// our publication, because it would need one of the stripes we hold.
-pub fn commit_raw<'a>(
-    stm: &Stm,
-    snapshot: u64,
-    reads: impl IntoIterator<Item = &'a Arc<BoxBody>>,
-    writes: Vec<(Arc<BoxBody>, Value)>,
-) -> Result<u64, StmError> {
-    commit_attributed(stm, snapshot, reads, writes).map_err(|_| StmError::Conflict)
-}
-
-/// Like [`commit_raw`], but a validation failure reports the id of the
-/// box whose version check failed — the input higher layers need for
-/// abort attribution (`wtf-trace` conflict hotspots).
+///
+/// Both sets are borrowed iterators (walked once for the stripe mask,
+/// again to validate / install / prune), so a caller holding its sets
+/// in any container commits without copying them.
 pub fn commit_attributed<'a>(
     stm: &Stm,
     snapshot: u64,
-    reads: impl IntoIterator<Item = &'a Arc<BoxBody>>,
-    writes: Vec<(Arc<BoxBody>, Value)>,
+    reads: impl Iterator<Item = &'a BoxBody> + Clone,
+    writes: impl Iterator<Item = (&'a BoxBody, &'a Value)> + Clone,
 ) -> Result<u64, BoxId> {
-    debug_assert!(!writes.is_empty(), "read-only commits skip commit_raw");
+    debug_assert!(
+        writes.clone().next().is_some(),
+        "read-only commits skip commit_attributed"
+    );
     let inner = &stm.inner;
     let tracer = &inner.tracer;
     let commit_start = tracer.span_start();
-    let read_bodies: Vec<&Arc<BoxBody>> = reads.into_iter().collect();
     let mut mask = 0u64;
-    for body in &read_bodies {
+    let (mut read_count, mut write_count) = (0u64, 0u64);
+    for body in reads.clone() {
         mask |= StripeTable::mask_of(body.id);
+        read_count += 1;
     }
-    for (body, _) in &writes {
+    for (body, _) in writes.clone() {
         mask |= StripeTable::mask_of(body.id);
+        write_count += 1;
     }
     let stripes = inner.stripes.lock_mask(mask);
     // Mutation hook (`test-hooks` feature only): checker self-tests flip
@@ -169,7 +171,7 @@ pub fn commit_attributed<'a>(
     #[cfg(not(feature = "test-hooks"))]
     let validate = true;
     if validate {
-        for body in &read_bodies {
+        for body in reads {
             if body.head_version() > snapshot {
                 // Attribute the abort to the box whose version check
                 // failed — the input to the per-run conflict hotspot
@@ -185,7 +187,7 @@ pub fn commit_attributed<'a>(
     let validated = tracer.span_end(
         wtf_trace::EventKind::StmValidationSpan,
         commit_start,
-        read_bodies.len() as u64,
+        read_count,
     );
     if tracer.on() {
         tracer.metrics.validation_latency.record(validated);
@@ -196,12 +198,11 @@ pub fn commit_attributed<'a>(
     // commit.
     let version = inner.next_version.fetch_add(1, Ordering::AcqRel) + 1;
     let gc = inner.gc_enabled.load(Ordering::Relaxed);
-    let bodies: Vec<Arc<BoxBody>> = writes.iter().map(|(b, _)| b.clone()).collect();
     inner
         .versions_installed
-        .fetch_add(bodies.len() as u64, Ordering::Relaxed);
-    for (body, value) in writes {
-        body.install(version, value);
+        .fetch_add(write_count, Ordering::Relaxed);
+    for (body, value) in writes.clone() {
+        body.install(version, value.clone());
         tracer.record_full(wtf_trace::EventKind::StmInstall, body.id.0, version);
     }
     // Publish in ticket order: wait until every earlier ticket is fully
@@ -247,7 +248,7 @@ pub fn commit_attributed<'a>(
     let mut pruned = 0usize;
     if gc {
         let min_active = inner.registry.min_active_excluding(snapshot, version);
-        for body in &bodies {
+        for (body, _) in writes {
             let freed = body.prune(min_active);
             if freed > 0 {
                 tracer.record_full(wtf_trace::EventKind::StmPrune, body.id.0, freed as u64);

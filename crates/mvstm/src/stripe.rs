@@ -8,7 +8,7 @@
 //! whose footprints hash to disjoint stripe sets proceed fully in
 //! parallel; the only remaining global synchronization is the version
 //! ticket fetch-add and the in-order publication of the version clock
-//! (see `raw::commit_raw`).
+//! (see `raw::commit_attributed`).
 
 use crate::value::BoxId;
 use parking_lot::{Mutex, MutexGuard};

@@ -1,44 +1,34 @@
-//! Unit tests for the multi-versioned STM substrate.
+//! Unit tests for the multi-versioned substrate's protocol, driven
+//! through [`raw`] and the crate internals. The transaction API over
+//! `Stm` lives in `wtf-backend`; its tests are this crate's integration
+//! tests (`tests/transactions.rs`).
 
-use crate::{raw, Stm, StmError, VBox};
+use crate::value::{downcast_value, TxValue, Value};
+use crate::{raw, raw::BoxBody, Stm};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-#[test]
-fn read_own_writes() {
-    let stm = Stm::new();
-    let b = VBox::new(&stm, 1i64);
-    let out = stm
-        .atomic(|tx| {
-            tx.write(&b, 5)?;
-            tx.read(&b)
-        })
-        .unwrap();
-    assert_eq!(out, 5);
-    assert_eq!(b.read_latest(), 5);
+fn new_box<T: TxValue>(stm: &Stm, value: T) -> Arc<BoxBody> {
+    raw::new_box_body(stm, Arc::new(value))
 }
 
-#[test]
-fn snapshot_isolation_within_txn() {
-    let stm = Stm::new();
-    let b = VBox::new(&stm, 0i64);
-    // Commit a few versions.
-    for i in 1..=3 {
-        stm.atomic(|tx| tx.write(&b, i)).unwrap();
-    }
-    assert_eq!(b.read_latest(), 3);
-    assert_eq!(stm.clock(), 3);
+/// The newest committed value (the head node, outside any snapshot).
+fn latest<T: TxValue>(body: &BoxBody) -> T {
+    downcast_value(&raw::read_at(body, u64::MAX).1)
 }
 
-#[test]
-fn read_only_commit_is_validation_free() {
-    let stm = Stm::new();
-    let b = VBox::new(&stm, 7i64);
-    stm.atomic(|tx| tx.read(&b)).unwrap();
-    let s = stm.stats();
-    assert_eq!(s.commits, 1);
-    assert_eq!(s.read_only_commits, 1);
-    assert_eq!(s.aborts, 0);
+/// Commits a blind write of `value` to `body` from a fresh snapshot —
+/// the raw protocol a one-write transaction runs.
+fn put<T: TxValue>(stm: &Stm, body: &BoxBody, value: T) {
+    let snap = raw::acquire_snapshot(stm);
+    let value: Value = Arc::new(value);
+    raw::commit_attributed(
+        stm,
+        snap.version(),
+        std::iter::empty(),
+        std::iter::once((body, &value)),
+    )
+    .expect("a blind write cannot fail validation");
 }
 
 #[test]
@@ -46,235 +36,104 @@ fn conflicting_writers_abort_and_retry() {
     // Interleave two transactions by hand through the raw API: T1 reads x,
     // T2 commits x, T1's commit must fail validation.
     let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
-    let y = VBox::new(&stm, 0i64);
+    let x = new_box(&stm, 0i64);
+    let y = new_box(&stm, 0i64);
 
     let snap1 = raw::acquire_snapshot(&stm);
-    let body_x = raw::body_of(&x);
-    let (v0, _) = raw::read_at(&body_x, snap1.version());
+    let (v0, _) = raw::read_at(&x, snap1.version());
     assert_eq!(v0, 0);
 
     // T2 commits a write to x.
-    stm.atomic(|tx| tx.write(&x, 99)).unwrap();
+    put(&stm, &x, 99i64);
 
-    // T1 tries to commit {read x, write y} at the old snapshot: conflict.
-    let body_y = raw::body_of(&y);
-    let err = raw::commit_raw(
+    // T1 tries to commit {read x, write y} at the old snapshot: conflict,
+    // attributed to x.
+    let one: Value = Arc::new(1i64);
+    let err = raw::commit_attributed(
         &stm,
         snap1.version(),
-        [&body_x],
-        vec![(body_y, Arc::new(1i64) as crate::Value)],
+        std::iter::once(&*x),
+        std::iter::once((&*y, &one)),
     )
     .unwrap_err();
-    assert_eq!(err, StmError::Conflict);
+    assert_eq!(err, raw::id_of(&x));
 }
 
 #[test]
 fn blind_write_commits_without_validation_failure() {
     let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
+    let x = new_box(&stm, 0i64);
 
     let snap1 = raw::acquire_snapshot(&stm);
     // Concurrent committer bumps x.
-    stm.atomic(|tx| tx.write(&x, 5)).unwrap();
+    put(&stm, &x, 5i64);
     // Blind write (no reads) from the old snapshot still commits: the
     // transaction is logically instantaneous at commit time.
-    let body_x = raw::body_of(&x);
-    raw::commit_raw(
+    let ten: Value = Arc::new(10i64);
+    raw::commit_attributed(
         &stm,
         snap1.version(),
         std::iter::empty(),
-        vec![(body_x, Arc::new(10i64) as crate::Value)],
+        std::iter::once((&*x, &ten)),
     )
     .unwrap();
-    assert_eq!(x.read_latest(), 10);
+    assert_eq!(latest::<i64>(&x), 10);
 }
 
 #[test]
 fn old_snapshot_reads_old_version() {
     let stm = Stm::new();
-    let x = VBox::new(&stm, 1i64);
+    let x = new_box(&stm, 1i64);
     let snap = raw::acquire_snapshot(&stm);
-    stm.atomic(|tx| tx.write(&x, 2)).unwrap();
-    stm.atomic(|tx| tx.write(&x, 3)).unwrap();
-    let body = raw::body_of(&x);
-    let (ver, val) = raw::read_at(&body, snap.version());
+    put(&stm, &x, 2i64);
+    put(&stm, &x, 3i64);
+    let (ver, val) = raw::read_at(&x, snap.version());
     assert_eq!(ver, 0);
     assert_eq!(*val.downcast_ref::<i64>().unwrap(), 1);
     // And the latest snapshot sees the newest.
-    assert_eq!(x.read_latest(), 3);
+    assert_eq!(latest::<i64>(&x), 3);
 }
 
 #[test]
 fn gc_prunes_unreachable_versions() {
     let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
-    for i in 1..=50 {
-        stm.atomic(|tx| tx.write(&x, i)).unwrap();
+    let x = new_box(&stm, 0i64);
+    for i in 1..=50i64 {
+        put(&stm, &x, i);
     }
-    // No active snapshots: each commit prunes everything older than itself.
-    assert_eq!(x.version_chain_len(), 1);
+    // No other snapshots: each commit prunes everything older than itself.
+    assert_eq!(x.chain_len(), 1);
     assert!(stm.stats().versions_pruned >= 49);
 }
 
 #[test]
 fn gc_respects_active_snapshots() {
     let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
-    stm.atomic(|tx| tx.write(&x, 1)).unwrap();
+    let x = new_box(&stm, 0i64);
+    put(&stm, &x, 1i64);
     let snap = raw::acquire_snapshot(&stm); // pins version 1
-    for i in 2..=20 {
-        stm.atomic(|tx| tx.write(&x, i)).unwrap();
+    for i in 2..=20i64 {
+        put(&stm, &x, i);
     }
     // Versions newer than the pinned snapshot are all kept, plus the
     // version the snapshot reads: 19 new + 1 pinned.
-    assert_eq!(x.version_chain_len(), 20);
-    let body = raw::body_of(&x);
-    let (ver, val) = raw::read_at(&body, snap.version());
+    assert_eq!(x.chain_len(), 20);
+    let (ver, val) = raw::read_at(&x, snap.version());
     assert_eq!((ver, *val.downcast_ref::<i64>().unwrap()), (1, 1));
     drop(snap);
-    stm.atomic(|tx| tx.write(&x, 100)).unwrap();
-    assert_eq!(x.version_chain_len(), 1);
+    put(&stm, &x, 100i64);
+    assert_eq!(x.chain_len(), 1);
 }
 
 #[test]
 fn gc_can_be_disabled() {
     let stm = Stm::new();
     stm.set_gc_enabled(false);
-    let x = VBox::new(&stm, 0i64);
-    for i in 1..=10 {
-        stm.atomic(|tx| tx.write(&x, i)).unwrap();
+    let x = new_box(&stm, 0i64);
+    for i in 1..=10i64 {
+        put(&stm, &x, i);
     }
-    assert_eq!(x.version_chain_len(), 11);
-}
-
-#[test]
-fn explicit_abort_propagates() {
-    let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
-    let res: Result<(), _> = stm.atomic(|tx| {
-        tx.write(&x, 42)?;
-        tx.abort()
-    });
-    assert!(res.is_err());
-    // The aborted write must not be visible.
-    assert_eq!(x.read_latest(), 0);
-}
-
-#[test]
-fn atomic_retries_on_conflict_until_success() {
-    // Force one conflict by committing a competing write between the
-    // body's read and its commit, using a flag to only interfere once.
-    let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
-    let interfered = AtomicBool::new(false);
-    let stm2 = stm.clone();
-    let x2 = x.clone();
-    let out = stm
-        .atomic(|tx| {
-            let v = tx.read(&x)?;
-            if !interfered.swap(true, Ordering::SeqCst) {
-                // Sneak in a conflicting commit from "another thread".
-                stm2.atomic(|t2| {
-                    let cur = t2.read(&x2)?;
-                    t2.write(&x2, cur + 100)
-                })
-                .unwrap();
-            }
-            tx.write(&x, v + 1)?;
-            Ok(v + 1)
-        })
-        .unwrap();
-    // First attempt read 0 but aborted; retry read 100 and wrote 101.
-    assert_eq!(out, 101);
-    assert_eq!(x.read_latest(), 101);
-    assert_eq!(stm.stats().aborts, 1);
-}
-
-#[test]
-fn heterogeneous_box_types() {
-    let stm = Stm::new();
-    let a = VBox::new(&stm, String::from("hi"));
-    let b = VBox::new(&stm, vec![1u8, 2, 3]);
-    let c = VBox::new(&stm, 2.5f64);
-    stm.atomic(|tx| {
-        let s = tx.read(&a)?;
-        tx.write(&a, format!("{s}!"))?;
-        let mut v = tx.read(&b)?;
-        v.push(4);
-        tx.write(&b, v)?;
-        let f = tx.read(&c)?;
-        tx.write(&c, f * 2.0)
-    })
-    .unwrap();
-    assert_eq!(a.read_latest(), "hi!");
-    assert_eq!(b.read_latest(), vec![1, 2, 3, 4]);
-    assert_eq!(c.read_latest(), 5.0);
-}
-
-#[test]
-fn concurrent_bank_invariant_real_threads() {
-    // Classic invariant stress: total balance is conserved under
-    // concurrent random transfers.
-    const ACCOUNTS: usize = 32;
-    const THREADS: usize = 4;
-    const TRANSFERS: usize = 500;
-    let stm = Stm::new();
-    let accounts: Arc<Vec<VBox<i64>>> = Arc::new(
-        (0..ACCOUNTS)
-            .map(|_| VBox::new(&stm, 1000i64))
-            .collect::<Vec<_>>(),
-    );
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let stm = stm.clone();
-            let accounts = accounts.clone();
-            std::thread::spawn(move || {
-                let mut seed = 0x243f_6a88_85a3_08d3u64 ^ (t as u64);
-                let mut next = || {
-                    seed ^= seed << 13;
-                    seed ^= seed >> 7;
-                    seed ^= seed << 17;
-                    seed
-                };
-                let mut done = 0;
-                while done < TRANSFERS {
-                    let from = (next() % ACCOUNTS as u64) as usize;
-                    let to = (next() % ACCOUNTS as u64) as usize;
-                    if from == to {
-                        // A self-transfer with read-both-then-write-both
-                        // ordering legitimately nets +amount; skip it so the
-                        // conservation invariant stays exact.
-                        continue;
-                    }
-                    done += 1;
-                    let amount = (next() % 50) as i64;
-                    stm.atomic(|tx| {
-                        let f = tx.read(&accounts[from])?;
-                        let t = tx.read(&accounts[to])?;
-                        tx.write(&accounts[from], f - amount)?;
-                        tx.write(&accounts[to], t + amount)?;
-                        Ok(())
-                    })
-                    .unwrap();
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let total = stm
-        .atomic(|tx| {
-            let mut sum = 0i64;
-            for a in accounts.iter() {
-                sum += tx.read(a)?;
-            }
-            Ok(sum)
-        })
-        .unwrap();
-    assert_eq!(total, 1000 * ACCOUNTS as i64);
-    assert_eq!(stm.stats().commits, THREADS as u64 * TRANSFERS as u64 + 1);
+    assert_eq!(x.chain_len(), 11);
 }
 
 #[test]
@@ -284,8 +143,8 @@ fn snapshot_registry_counts() {
     let s1 = raw::acquire_snapshot(&stm);
     let s2 = raw::acquire_snapshot(&stm);
     assert_eq!(raw::active_snapshots(&stm), 1); // same version, one entry
-    let x = VBox::new(&stm, 0i64);
-    stm.atomic(|tx| tx.write(&x, 1)).unwrap();
+    let x = new_box(&stm, 0i64);
+    put(&stm, &x, 1i64);
     let s3 = raw::acquire_snapshot(&stm);
     assert_eq!(raw::active_snapshots(&stm), 2);
     drop(s1);
@@ -299,29 +158,28 @@ fn tracer_attributes_conflicts_and_measures_commits() {
     use wtf_trace::{TraceLevel, Tracer};
     let tracer = Tracer::new(TraceLevel::Lifecycle);
     let stm = Stm::with_tracer(Arc::clone(&tracer));
-    let x = VBox::new(&stm, 0i64);
-    let y = VBox::new(&stm, 0i64);
+    let x = new_box(&stm, 0i64);
+    let y = new_box(&stm, 0i64);
 
     // Interleave by hand as in `conflicting_writers_abort_and_retry`:
     // T1 reads x at an old snapshot; T2 bumps x; T1's commit conflicts.
     let snap1 = raw::acquire_snapshot(&stm);
-    let body_x = raw::body_of(&x);
-    raw::read_at(&body_x, snap1.version());
-    stm.atomic(|tx| tx.write(&x, 99)).unwrap();
-    let body_y = raw::body_of(&y);
-    let err = raw::commit_raw(
+    raw::read_at(&x, snap1.version());
+    put(&stm, &x, 99i64);
+    let one: Value = Arc::new(1i64);
+    let err = raw::commit_attributed(
         &stm,
         snap1.version(),
-        [&body_x],
-        vec![(body_y, Arc::new(1i64) as crate::Value)],
+        std::iter::once(&*x),
+        std::iter::once((&*y, &one)),
     )
     .unwrap_err();
-    assert_eq!(err, StmError::Conflict);
+    assert_eq!(err, raw::id_of(&x));
 
     // The abort is charged to x, the box whose validation failed.
     let summary = tracer.summary();
     assert_eq!(summary.conflict_total, 1);
-    assert_eq!(summary.hotspots, vec![(raw::id_of(&raw::body_of(&x)).0, 1)]);
+    assert_eq!(summary.hotspots, vec![(raw::id_of(&x).0, 1)]);
     // The successful commit fed the latency histograms.
     assert_eq!(summary.commit_latency.count, 1);
     assert_eq!(summary.validation_latency.count, 1);
@@ -329,100 +187,14 @@ fn tracer_attributes_conflicts_and_measures_commits() {
     assert!(tracer.events_recorded() > 0);
 }
 
-#[test]
-fn disabled_tracer_stm_records_nothing() {
-    let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
-    for i in 0..10 {
-        stm.atomic(|tx| tx.write(&x, i)).unwrap();
-    }
-    let summary = stm.tracer().summary();
-    assert!(!summary.enabled());
-    assert_eq!(summary.events_recorded, 0);
-    assert_eq!(summary.commit_latency.count, 0);
-    assert_eq!(summary.conflict_total, 0);
-}
-
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Sequential oracle check: a random sequence of single-threaded
-    /// transactions over a few boxes behaves exactly like plain variables.
-    #[derive(Debug, Clone)]
-    enum Op {
-        Add(usize, i64),
-        Copy(usize, usize),
-        Swap(usize, usize),
-    }
-
-    fn op_strategy(nboxes: usize) -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (0..nboxes, -100i64..100).prop_map(|(i, d)| Op::Add(i, d)),
-            (0..nboxes, 0..nboxes).prop_map(|(a, b)| Op::Copy(a, b)),
-            (0..nboxes, 0..nboxes).prop_map(|(a, b)| Op::Swap(a, b)),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn matches_sequential_oracle(ops in proptest::collection::vec(op_strategy(4), 1..60)) {
-            let stm = Stm::new();
-            let boxes: Vec<VBox<i64>> = (0..4).map(|i| VBox::new(&stm, i as i64)).collect();
-            let mut oracle = [0i64, 1, 2, 3];
-            for op in &ops {
-                match *op {
-                    Op::Add(i, d) => {
-                        stm.atomic(|tx| {
-                            let v = tx.read(&boxes[i])?;
-                            tx.write(&boxes[i], v + d)
-                        }).unwrap();
-                        oracle[i] += d;
-                    }
-                    Op::Copy(a, b) => {
-                        stm.atomic(|tx| {
-                            let v = tx.read(&boxes[a])?;
-                            tx.write(&boxes[b], v)
-                        }).unwrap();
-                        oracle[b] = oracle[a];
-                    }
-                    Op::Swap(a, b) => {
-                        stm.atomic(|tx| {
-                            let va = tx.read(&boxes[a])?;
-                            let vb = tx.read(&boxes[b])?;
-                            tx.write(&boxes[a], vb)?;
-                            tx.write(&boxes[b], va)
-                        }).unwrap();
-                        oracle.swap(a, b);
-                    }
-                }
-            }
-            for (i, b) in boxes.iter().enumerate() {
-                prop_assert_eq!(b.read_latest(), oracle[i]);
-            }
-        }
-
-        #[test]
-        fn version_chains_never_lose_newest(writes in 1usize..40) {
-            let stm = Stm::new();
-            let x = VBox::new(&stm, 0usize);
-            for i in 1..=writes {
-                stm.atomic(|tx| tx.write(&x, i)).unwrap();
-            }
-            prop_assert_eq!(x.read_latest(), writes);
-            prop_assert_eq!(x.version_chain_len(), 1);
-        }
-    }
-}
-
 /// Regression test for the snapshot-registration/GC race: readers begin
 /// snapshots while writers commit-and-prune as fast as possible. Before
-/// the fix (registration under the registry lock + pruning after clock
+/// the fix (publish-then-recheck registration + pruning after clock
 /// publication) this panicked with "no version visible at snapshot".
 #[test]
 fn snapshot_gc_race_regression() {
     let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
+    let x = new_box(&stm, 0i64);
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
         let stm = stm.clone();
@@ -431,7 +203,7 @@ fn snapshot_gc_race_regression() {
         std::thread::spawn(move || {
             let mut i = 0i64;
             while !stop.load(Ordering::Relaxed) {
-                stm.atomic(|tx| tx.write(&x, i)).unwrap();
+                put(&stm, &x, i);
                 i += 1;
             }
         })
@@ -445,8 +217,7 @@ fn snapshot_gc_race_regression() {
                 while !stop.load(Ordering::Relaxed) {
                     // begin a snapshot and read through it immediately
                     let snap = raw::acquire_snapshot(&stm);
-                    let body = raw::body_of(&x);
-                    let (ver, _) = raw::read_at(&body, snap.version());
+                    let (ver, _) = raw::read_at(&x, snap.version());
                     assert!(ver <= snap.version());
                 }
             })
@@ -466,24 +237,24 @@ fn snapshot_gc_race_regression() {
 #[test]
 fn disjoint_commits_proceed_while_stripe_is_held() {
     let stm = Stm::new();
-    let a = VBox::new(&stm, 0i64);
-    let mut b = VBox::new(&stm, 0i64);
-    while raw::stripe_index(b.id()) == raw::stripe_index(a.id()) {
-        b = VBox::new(&stm, 0i64);
+    let a = new_box(&stm, 0i64);
+    let mut b = new_box(&stm, 0i64);
+    while raw::stripe_index(raw::id_of(&b)) == raw::stripe_index(raw::id_of(&a)) {
+        b = new_box(&stm, 0i64);
     }
 
-    let hostage = raw::hold_stripe(&stm, raw::stripe_index(a.id()));
+    let hostage = raw::hold_stripe(&stm, raw::stripe_index(raw::id_of(&a)));
 
     // A commit touching only b's stripe completes while a's is hostage.
     // (With the old global commit mutex this join would hang forever.)
     {
         let stm = stm.clone();
         let b = b.clone();
-        std::thread::spawn(move || stm.atomic(|tx| tx.write(&b, 1)).unwrap())
+        std::thread::spawn(move || put(&stm, &b, 1i64))
             .join()
             .unwrap();
     }
-    assert_eq!(b.read_latest(), 1);
+    assert_eq!(latest::<i64>(&b), 1);
 
     // A commit touching a's stripe blocks until the hostage is released.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -491,7 +262,7 @@ fn disjoint_commits_proceed_while_stripe_is_held() {
         let stm = stm.clone();
         let a = a.clone();
         std::thread::spawn(move || {
-            stm.atomic(|tx| tx.write(&a, 1)).unwrap();
+            put(&stm, &a, 1i64);
             done_tx.send(()).unwrap();
         })
     };
@@ -506,7 +277,7 @@ fn disjoint_commits_proceed_while_stripe_is_held() {
         .recv_timeout(std::time::Duration::from_secs(10))
         .expect("commit should complete once the stripe is released");
     blocked.join().unwrap();
-    assert_eq!(a.read_latest(), 1);
+    assert_eq!(latest::<i64>(&a), 1);
 }
 
 /// Direct race on the sharded registry: while one snapshot stays pinned,
@@ -585,16 +356,16 @@ fn live_gauges_track_versions_and_horizon() {
             .map(|(_, v)| v)
             .unwrap_or_else(|| panic!("gauge {name} registered"))
     };
-    let b = VBox::new(&stm, 0i64);
-    stm.atomic(|tx| tx.write(&b, 1)).unwrap();
+    let b = new_box(&stm, 0i64);
+    put(&stm, &b, 1i64);
     assert_eq!(gauge("stm_clock"), 1);
     assert_eq!(gauge("stm_gc_horizon_lag"), 0, "nothing active");
     assert_eq!(gauge("stm_registry_occupancy"), 0);
     // Pin the current snapshot, then commit twice more: GC cannot prune
     // past the pin, so retained versions and horizon lag both grow.
     let pin = raw::acquire_snapshot(&stm);
-    for i in 2..=3 {
-        stm.atomic(|tx| tx.write(&b, i)).unwrap();
+    for i in 2..=3i64 {
+        put(&stm, &b, i);
     }
     assert_eq!(gauge("stm_clock"), 3);
     assert_eq!(gauge("stm_gc_horizon_lag"), 3 - pin.version());
@@ -606,7 +377,7 @@ fn live_gauges_track_versions_and_horizon() {
     );
     drop(pin);
     // Releasing the pin lets the next commit's GC collapse the chain.
-    stm.atomic(|tx| tx.write(&b, 4)).unwrap();
+    put(&stm, &b, 4i64);
     assert_eq!(gauge("stm_gc_horizon_lag"), 0);
     assert_eq!(gauge("stm_retained_versions"), stm.retained_versions());
     assert_eq!(stm.gc_horizon_lag(), 0);
@@ -618,7 +389,7 @@ fn live_gauges_track_versions_and_horizon() {
 #[test]
 fn registry_churn_vs_pruning_commits() {
     let stm = Stm::new();
-    let boxes: Vec<VBox<i64>> = (0..4).map(|_| VBox::new(&stm, 0i64)).collect();
+    let boxes: Vec<Arc<BoxBody>> = (0..4).map(|_| new_box(&stm, 0i64)).collect();
     let stop = Arc::new(AtomicBool::new(false));
 
     let writers: Vec<_> = (0..2)
@@ -630,7 +401,7 @@ fn registry_churn_vs_pruning_commits() {
                 let mut i = 0i64;
                 while !stop.load(Ordering::Relaxed) {
                     let b = &boxes[(w * 2 + (i as usize & 1)) % boxes.len()];
-                    stm.atomic(|tx| tx.write(b, i)).unwrap();
+                    put(&stm, b, i);
                     i += 1;
                 }
             })
@@ -645,12 +416,11 @@ fn registry_churn_vs_pruning_commits() {
                 while !stop.load(Ordering::Relaxed) {
                     let snap = raw::acquire_snapshot(&stm);
                     for b in boxes.iter().skip(c % boxes.len()) {
-                        let body = raw::body_of(b);
-                        let (ver, _) = raw::read_at(&body, snap.version());
+                        let (ver, _) = raw::read_at(b, snap.version());
                         assert!(ver <= snap.version());
                     }
                     // chain_len takes the box stripe: also races the pruners.
-                    assert!(boxes[c % boxes.len()].version_chain_len() >= 1);
+                    assert!(boxes[c % boxes.len()].chain_len() >= 1);
                 }
             })
         })
@@ -666,8 +436,8 @@ fn registry_churn_vs_pruning_commits() {
     }
     // Quiesce: one more pruning commit per box collapses every chain.
     for b in &boxes {
-        stm.atomic(|tx| tx.write(b, -1)).unwrap();
-        assert_eq!(b.version_chain_len(), 1);
+        put(&stm, b, -1i64);
+        assert_eq!(b.chain_len(), 1);
     }
 }
 

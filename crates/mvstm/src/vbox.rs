@@ -6,7 +6,7 @@
 //! new version is a single pointer swing (O(1), vs the old
 //! `Vec::insert(0, ..)` which shifted the whole history); pruning
 //! detaches and frees the dead tail. The mutating operations are
-//! serialized per box by the owning [`Stm`]'s stripe locks (see
+//! serialized per box by the owning [`Stm`](crate::Stm)'s stripe locks (see
 //! `crate::stripe`), which is also what makes `chain_len` need a stripe.
 //!
 //! ## Memory reclamation
@@ -21,13 +21,12 @@
 //! only nodes strictly *below* the keep node and never touches the
 //! `next` pointer of any node above it, so the reader can never reach a
 //! freed node. The head node in particular is never freed while the box
-//! is alive, which is why [`BoxBody::head_version`] and
-//! [`VBox::read_latest`] are unconditionally safe.
+//! is alive, which is why [`BoxBody::head_version`] and a read at
+//! `u64::MAX` (the latest value, outside any snapshot) are
+//! unconditionally safe.
 
 use crate::stripe::StripeTable;
-use crate::value::{downcast_value, BoxId, TxValue, Value};
-use crate::Stm;
-use std::marker::PhantomData;
+use crate::value::{BoxId, Value};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
@@ -47,13 +46,14 @@ pub(crate) struct VersionNode {
     next: AtomicPtr<VersionNode>,
 }
 
-/// The untyped body shared by all handles to one box.
+/// The untyped body shared by all handles to one box (`wtf-backend`
+/// implements `BackendBox` for it; `TBox` is the typed handle).
 pub struct BoxBody {
     pub(crate) id: BoxId,
     /// Newest version; never null (boxes are born with one version).
     // ordering: release-store in `install` publishes the new node and
     // the chain behind it to acquire-load readers (`read_at`,
-    // `head_version`, `read_latest`, `chain_len`, `prune`); relaxed-load
+    // `head_version`, `chain_len`, `prune`); relaxed-load
     // is permitted only in `install` itself, which re-reads its own head
     // under the box's stripe lock. relaxed-guard: install's
     // monotonicity debug_assert reads through that stripe-locked head.
@@ -109,7 +109,7 @@ impl BoxBody {
         // version stamped at-or-before any snapshot taken after its
         // creation, and GC never removes the last version <= min_active.
         panic!(
-            "VBox {:?}: no version visible at snapshot {} (oldest retained: {}); \
+            "box {:?}: no version visible at snapshot {} (oldest retained: {}); \
              was the box created after the reading transaction began?",
             self.id, snapshot, oldest_seen
         );
@@ -198,78 +198,5 @@ impl Drop for BoxBody {
             let boxed = unsafe { Box::from_raw(node) };
             node = boxed.next.load(Ordering::Relaxed);
         }
-    }
-}
-
-/// A transactional memory location holding values of type `T`.
-///
-/// The typed, clonable handle over a shared [`BoxBody`]. All access goes
-/// through a transaction ([`Txn::read`](crate::Txn::read) /
-/// [`Txn::write`](crate::Txn::write)) or through the `wtf-core`
-/// futures-aware contexts layered on [`crate::raw`].
-pub struct VBox<T> {
-    pub(crate) body: Arc<BoxBody>,
-    _marker: PhantomData<fn() -> T>,
-}
-
-impl<T> Clone for VBox<T> {
-    fn clone(&self) -> Self {
-        VBox {
-            body: self.body.clone(),
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<T: TxValue> VBox<T> {
-    /// Creates a box initialized to `value`.
-    ///
-    /// The initial version is stamped with the *current* clock value, so
-    /// the box is visible to every transaction whose snapshot is at or
-    /// after the creation point. (Creating boxes *inside* a transaction
-    /// and publishing them through another box is supported: the handle
-    /// value committed through the STM carries the `Arc`.)
-    pub fn new(stm: &Stm, value: T) -> VBox<T> {
-        let id = BoxId(stm.inner.next_box.fetch_add(1, Ordering::Relaxed));
-        let version = stm.inner.clock.load(Ordering::Acquire);
-        VBox {
-            body: Arc::new(BoxBody::new(
-                id,
-                stm.inner.stripes.clone(),
-                version,
-                Arc::new(value),
-            )),
-            _marker: PhantomData,
-        }
-    }
-
-    /// This box's id.
-    pub fn id(&self) -> BoxId {
-        self.body.id
-    }
-
-    /// Reads the latest committed value, outside any transaction.
-    ///
-    /// Useful for inspecting results after a benchmark run; not
-    /// serializable with respect to anything. Touches only the head node,
-    /// which is never reclaimed while the box is alive, so no snapshot
-    /// registration is needed.
-    pub fn read_latest(&self) -> T {
-        let node = self.body.head.load(Ordering::Acquire);
-        // SAFETY: `head` is never null and the head node is never freed
-        // while the box is alive (module docs).
-        let value = unsafe { (*node).value.clone() };
-        downcast_value(&value)
-    }
-
-    /// Number of retained versions (GC diagnostics).
-    pub fn version_chain_len(&self) -> usize {
-        self.body.chain_len()
-    }
-}
-
-impl<T> std::fmt::Debug for VBox<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "VBox({:?})", self.body.id)
     }
 }

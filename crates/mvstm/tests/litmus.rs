@@ -5,8 +5,8 @@
 //! iteration counts scale down under Miri so the interpreted runs stay
 //! in budget while still interleaving.
 
-use std::sync::Arc;
-use wtf_mvstm::{Stm, VBox};
+use wtf_backend::{atomic, TBox};
+use wtf_mvstm::Stm;
 
 const ROUNDS: u64 = if cfg!(miri) { 40 } else { 20_000 };
 
@@ -16,15 +16,15 @@ const ROUNDS: u64 = if cfg!(miri) { 40 } else { 20_000 };
 /// observes `data == i` — the two are written in one commit.
 #[test]
 fn mp_head_release_install_pairs_with_acquire_read() {
-    let stm = Arc::new(Stm::new());
-    let data = Arc::new(VBox::new(&stm, 0u64));
-    let flag = Arc::new(VBox::new(&stm, 0u64));
+    let stm = Stm::new();
+    let data = TBox::new_on(&stm, 0u64);
+    let flag = TBox::new_on(&stm, 0u64);
 
     let writer = {
-        let (stm, data, flag) = (Arc::clone(&stm), Arc::clone(&data), Arc::clone(&flag));
+        let (stm, data, flag) = (stm.clone(), data.clone(), flag.clone());
         std::thread::spawn(move || {
             for i in 1..=ROUNDS {
-                stm.atomic(|tx| {
+                atomic(&stm, |tx| {
                     tx.write(&data, i)?;
                     tx.write(&flag, i)
                 })
@@ -35,17 +35,16 @@ fn mp_head_release_install_pairs_with_acquire_read() {
 
     let readers: Vec<_> = (0..2)
         .map(|_| {
-            let (stm, data, flag) = (Arc::clone(&stm), Arc::clone(&data), Arc::clone(&flag));
+            let (stm, data, flag) = (stm.clone(), data.clone(), flag.clone());
             std::thread::spawn(move || {
                 let mut last = 0u64;
                 while last < ROUNDS {
-                    let (f, d) = stm
-                        .atomic(|tx| {
-                            let f = tx.read(&flag)?;
-                            let d = tx.read(&data)?;
-                            Ok((f, d))
-                        })
-                        .unwrap();
+                    let (f, d) = atomic(&stm, |tx| {
+                        let f = tx.read(&flag)?;
+                        let d = tx.read(&data)?;
+                        Ok((f, d))
+                    })
+                    .unwrap();
                     assert_eq!(f, d, "flag and data are committed together");
                     assert!(f >= last, "clock publication is monotonic");
                     last = f;
@@ -68,15 +67,15 @@ fn mp_head_release_install_pairs_with_acquire_read() {
 /// double-read inside one transaction.
 #[test]
 fn sb_registry_slot_claim_vs_clock_republish() {
-    let stm = Arc::new(Stm::new());
+    let stm = Stm::new();
     stm.set_gc_enabled(true);
-    let counter = Arc::new(VBox::new(&stm, 0u64));
+    let counter = TBox::new_on(&stm, 0u64);
 
     let writer = {
-        let (stm, counter) = (Arc::clone(&stm), Arc::clone(&counter));
+        let (stm, counter) = (stm.clone(), counter.clone());
         std::thread::spawn(move || {
             for _ in 0..ROUNDS {
-                stm.atomic(|tx| {
+                atomic(&stm, |tx| {
                     let v = tx.read(&counter)?;
                     tx.write(&counter, v + 1)
                 })
@@ -87,17 +86,16 @@ fn sb_registry_slot_claim_vs_clock_republish() {
 
     let readers: Vec<_> = (0..2)
         .map(|_| {
-            let (stm, counter) = (Arc::clone(&stm), Arc::clone(&counter));
+            let (stm, counter) = (stm.clone(), counter.clone());
             std::thread::spawn(move || {
                 let mut last = 0u64;
                 loop {
-                    let (a, b) = stm
-                        .atomic(|tx| {
-                            let a = tx.read(&counter)?;
-                            let b = tx.read(&counter)?;
-                            Ok((a, b))
-                        })
-                        .unwrap();
+                    let (a, b) = atomic(&stm, |tx| {
+                        let a = tx.read(&counter)?;
+                        let b = tx.read(&counter)?;
+                        Ok((a, b))
+                    })
+                    .unwrap();
                     assert_eq!(a, b, "double-read within one snapshot is stable");
                     assert!(a >= last, "snapshots never travel backwards");
                     last = a;

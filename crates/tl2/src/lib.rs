@@ -351,10 +351,6 @@ impl StmBackend for Tl2Stm {
         self.inner.read_only_commits.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn set_gc_enabled(&self, _enabled: bool) {
-        // Nothing to reclaim: old versions are overwritten in place.
-    }
-
     fn cm(&self) -> Arc<dyn wtf_cm::ContentionManager> {
         self.inner.cm.read().clone()
     }

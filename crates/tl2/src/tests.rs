@@ -20,6 +20,28 @@ fn kind_and_clock_start_at_zero() {
     assert_eq!(snap.version(), 0);
 }
 
+/// A box is only meaningful to the backend instance kind that made it:
+/// handing an mvstm box to TL2's commit is a loud misuse, not a silent
+/// corruption.
+#[test]
+#[should_panic(expected = "box from a different backend")]
+fn mvstm_box_rejected_by_tl2_commit() {
+    let mvstm = wtf_mvstm::Stm::new();
+    let foreign = mvstm.new_box(Arc::new(1i64));
+    let tl2 = new_backend();
+    let _ = tl2.commit_attributed(0, &[], vec![(foreign, Arc::new(2i64))]);
+}
+
+/// The reverse direction, caught by mvstm's `StmBackend` impl.
+#[test]
+#[should_panic(expected = "box from a different backend")]
+fn tl2_box_rejected_by_mvstm_commit() {
+    let tl2 = new_backend();
+    let foreign = tl2.new_box(Arc::new(1i64));
+    let mvstm = wtf_mvstm::Stm::new();
+    let _ = StmBackend::commit_attributed(&mvstm, 0, &[], vec![(foreign, Arc::new(2i64))]);
+}
+
 #[test]
 fn rmw_increments_commit_and_advance_clock() {
     let stm = new_backend();

@@ -57,8 +57,8 @@ pub enum EventKind {
     StmInstall,
     /// Commit-time GC pruned old versions. a=box_id, b=versions freed.
     StmPrune,
-    /// Span: a whole `commit_raw` (lock, validate, install, publish, GC).
-    /// a=duration, b=commit version.
+    /// Span: a whole substrate commit (lock, validate, install, publish,
+    /// GC). a=duration, b=commit version.
     StmCommitSpan,
     /// Span: stripe acquisition + read-set validation. a=duration,
     /// b=number of boxes validated.

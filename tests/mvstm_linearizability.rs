@@ -13,17 +13,24 @@
 //!   counter end at exactly N×M, so no commit ever overwrote another
 //!   without one of them aborting and retrying.
 //!
-//! The first half drives mvstm's native API (and its mvstm-only
-//! guarantees: wait-free read-only audits, version-chain GC); the second
-//! half re-runs the same properties through the backend-generic stepwise
-//! transaction on every [`BackendKind`] — under TL2 audits can conflict
+//! The first half drives an mvstm [`Stm`] directly (and checks its
+//! mvstm-only guarantees: validation-free read-only audits, version-chain
+//! GC); the second half re-runs the same properties on every
+//! [`BackendKind`] through `make_backend` — under TL2 audits can conflict
 //! and retry, but a *committed* audit must still see the conserved sum.
+//! Both halves run through the one backend retry loop, [`atomic`].
 
 use std::sync::Arc;
 use transactional_futures::backend::{atomic, BackendKind, StmBackend, TBox};
-use transactional_futures::stm::{Stm, VBox};
+use transactional_futures::stm::raw::{self, BoxBody};
+use transactional_futures::stm::{Stm, TxValue};
 use transactional_futures::tm::make_backend;
 use transactional_futures::trace::{TraceLevel, Tracer};
+
+/// The mvstm body behind a typed handle.
+fn body<T: TxValue>(b: &TBox<T>) -> &BoxBody {
+    b.body().as_any().downcast_ref().expect("an mvstm box")
+}
 
 fn xorshift(seed: &mut u64) -> u64 {
     *seed ^= *seed << 13;
@@ -38,9 +45,9 @@ fn run_bank(threads: usize, ops_per_thread: usize) {
     const ACCOUNTS: usize = 64;
     const INITIAL: i64 = 1_000;
     let stm = Stm::new();
-    let accounts: Arc<Vec<VBox<i64>>> = Arc::new(
+    let accounts: Arc<Vec<TBox<i64>>> = Arc::new(
         (0..ACCOUNTS)
-            .map(|_| VBox::new(&stm, INITIAL))
+            .map(|_| TBox::new_on(&stm, INITIAL))
             .collect::<Vec<_>>(),
     );
     let expected_total = INITIAL * ACCOUNTS as i64;
@@ -54,15 +61,14 @@ fn run_bank(threads: usize, ops_per_thread: usize) {
                 for op in 0..ops_per_thread {
                     if op % 4 == 3 {
                         // Read-only audit: must see a consistent snapshot.
-                        let total = stm
-                            .atomic(|tx| {
-                                let mut sum = 0i64;
-                                for a in accounts.iter() {
-                                    sum += tx.read(a)?;
-                                }
-                                Ok(sum)
-                            })
-                            .unwrap();
+                        let total = atomic(&stm, |tx| {
+                            let mut sum = 0i64;
+                            for a in accounts.iter() {
+                                sum += tx.read(a)?;
+                            }
+                            Ok(sum)
+                        })
+                        .unwrap();
                         assert_eq!(total, expected_total, "audit saw a torn transfer");
                     } else {
                         let mut from = (xorshift(&mut seed) % ACCOUNTS as u64) as usize;
@@ -74,7 +80,7 @@ fn run_bank(threads: usize, ops_per_thread: usize) {
                             }
                         }
                         let amount = (xorshift(&mut seed) % 100) as i64;
-                        stm.atomic(|tx| {
+                        atomic(&stm, |tx| {
                             let f = tx.read(&accounts[from])?;
                             let t = tx.read(&accounts[to])?;
                             tx.write(&accounts[from], f - amount)?;
@@ -91,15 +97,14 @@ fn run_bank(threads: usize, ops_per_thread: usize) {
         h.join().unwrap();
     }
 
-    let total = stm
-        .atomic(|tx| {
-            let mut sum = 0i64;
-            for a in accounts.iter() {
-                sum += tx.read(a)?;
-            }
-            Ok(sum)
-        })
-        .unwrap();
+    let total = atomic(&stm, |tx| {
+        let mut sum = 0i64;
+        for a in accounts.iter() {
+            sum += tx.read(a)?;
+        }
+        Ok(sum)
+    })
+    .unwrap();
     assert_eq!(total, expected_total);
 
     let stats = stm.stats();
@@ -112,12 +117,12 @@ fn run_bank(threads: usize, ops_per_thread: usize) {
     // one more update commit per account (with no snapshots live) each
     // chain collapses to exactly its newest version.
     for a in accounts.iter() {
-        stm.atomic(|tx| {
+        atomic(&stm, |tx| {
             let v = tx.read(a)?;
             tx.write(a, v)
         })
         .unwrap();
-        assert_eq!(a.version_chain_len(), 1);
+        assert_eq!(raw::version_chain_len(body(a)), 1);
     }
 }
 
@@ -144,10 +149,10 @@ fn no_lost_updates_on_hot_counter() {
     const THREADS: usize = 8;
     const INCREMENTS: usize = 1_000;
     let stm = Stm::new();
-    let shared = VBox::new(&stm, 0i64);
-    let privates: Arc<Vec<VBox<i64>>> = Arc::new(
+    let shared = TBox::new_on(&stm, 0i64);
+    let privates: Arc<Vec<TBox<i64>>> = Arc::new(
         (0..THREADS)
-            .map(|_| VBox::new(&stm, 0i64))
+            .map(|_| TBox::new_on(&stm, 0i64))
             .collect::<Vec<_>>(),
     );
 
@@ -158,7 +163,7 @@ fn no_lost_updates_on_hot_counter() {
             let privates = privates.clone();
             std::thread::spawn(move || {
                 for _ in 0..INCREMENTS {
-                    stm.atomic(|tx| {
+                    atomic(&stm, |tx| {
                         let s = tx.read(&shared)?;
                         tx.write(&shared, s + 1)?;
                         let p = tx.read(&privates[t])?;
